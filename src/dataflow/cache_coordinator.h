@@ -77,10 +77,12 @@ class CacheCoordinator {
   // User annotation path: drop every partition of `rdd` from every tier.
   virtual void UnpersistRdd(const RddBase& rdd) = 0;
 
-  // Distributed mode: the payloads of these blocks vanished with a dead
-  // worker process. The coordinator must mark them non-resident in its
-  // lineage/plan state so the next access recomputes instead of trusting a
-  // stale residency record. Called from the worker-monitor thread.
+  // Notification that these blocks' payloads vanished outside the
+  // coordinator's control. No engine path calls it any more: the only
+  // producer was the multi-process storage mode, which was deleted, and every
+  // in-process loss goes through the coordinator itself. The no-op hook stays
+  // because the forwarding coordinators in perfbench/blaze_perf.cc override
+  // it, and that program is compiled unchanged against this header.
   virtual void OnBlocksLost(const std::vector<BlockId>& ids) { (void)ids; }
 };
 

@@ -17,9 +17,8 @@
 //                                 running/queued jobs, completions, rejects,
 //                                 and hit/miss counters.
 //
-// Workloads are registered by name — both processes link the driver code, so
-// only the name and an iteration count travel on the wire (the same
-// registration idiom the distributed task path uses).
+// Workloads are registered by name on the server, so only the name and an
+// iteration count travel on the wire; the client never ships code.
 #ifndef SRC_DATAFLOW_JOB_SERVER_H_
 #define SRC_DATAFLOW_JOB_SERVER_H_
 

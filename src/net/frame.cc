@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -105,10 +106,17 @@ bool ReadFrame(int fd, std::vector<uint8_t>* payload, std::string* error) {
     SetError(error, "frame length " + std::to_string(len) + " exceeds bound");
     return false;
   }
-  payload->resize(len);
-  if (len > 0 && RecvAll(fd, payload->data(), len) != static_cast<ssize_t>(len)) {
-    SetError(error, "truncated frame payload");
-    return false;
+  // Grow chunk by chunk instead of resize(len) up front: a peer that claims
+  // 1 GiB and sends nothing must not make us allocate (and zero) 1 GiB.
+  payload->clear();
+  while (payload->size() < len) {
+    const size_t have = payload->size();
+    const size_t chunk = std::min<size_t>(len - have, kFrameReadChunk);
+    payload->resize(have + chunk);
+    if (RecvAll(fd, payload->data() + have, chunk) != static_cast<ssize_t>(chunk)) {
+      SetError(error, "truncated frame payload");
+      return false;
+    }
   }
   uint32_t crc = 0;
   if (RecvAll(fd, reinterpret_cast<uint8_t*>(&crc), 4) != 4) {

@@ -1,4 +1,4 @@
-// Wire framing for the coordinator/worker protocol.
+// Wire framing for the job-server protocol (src/net/rpc.h).
 //
 // Every message travels as one frame over a local TCP stream:
 //
@@ -7,12 +7,13 @@
 // all little-endian. The CRC-32 trailer reuses the disk-spill checksum
 // (src/common/crc32.h): a truncated or corrupted frame must surface as a
 // clean connection error — never as garbage decoded into engine state.
-// Frames are bounded (kMaxFrameBytes) so a garbled length prefix cannot make
-// a peer allocate unbounded memory.
+// Frames are bounded (kMaxFrameBytes), and ReadFrame grows its buffer only
+// as payload bytes actually arrive, so a garbled or lying length prefix costs
+// at most one read chunk beyond what the peer really sent.
 //
 // Socket helpers: loopback-only listen/connect with SO_REUSEADDR and
-// bind/connect retry with exponential backoff, so coordinator/worker control
-// ports survive fast restarts in tests and CI.
+// bind/connect retry with exponential backoff, so server ports survive fast
+// restarts in tests and CI.
 #ifndef SRC_NET_FRAME_H_
 #define SRC_NET_FRAME_H_
 
@@ -25,6 +26,9 @@ namespace blaze::net {
 
 inline constexpr uint32_t kFrameMagic = 0x315A4C42u;  // "BLZ1"
 inline constexpr uint32_t kMaxFrameBytes = 1u << 30;  // 1 GiB payload bound
+// ReadFrame's buffer growth step: a length prefix is trusted only this far
+// ahead of the bytes received.
+inline constexpr uint32_t kFrameReadChunk = 64u << 10;
 
 // Writes one frame; retries on EINTR, suppresses SIGPIPE. False on any
 // socket error (peer gone, timeout).

@@ -6,12 +6,20 @@
 // concurrency comes from the client opening several connections, which keeps
 // the protocol trivially orderable (no interleaved responses).
 //
-// RpcClient: a small pool of persistent connections to one worker. A call
+// RpcClient: a small pool of persistent connections to one server. A call
 // locks a connection, writes the request, and blocks for the response.
 // Dead connections are re-dialed with exponential backoff and the request is
-// retried (all protocol verbs are idempotent: puts are keyed overwrites,
-// gets are reads, removes are incarnation-guarded), so a worker restart
-// inside the retry window is invisible to callers.
+// resent, up to `attempts` times. Not every verb is safe to resend:
+//
+//   kJobStatus, kTenantStats  reads; a repeat is harmless.
+//   kJobSubmit                NOT idempotent. If the server read the request
+//                             but the reply was lost, a resend enqueues the
+//                             workload a second time under a new job id.
+//
+// BlazeServiceClient still retries kJobSubmit, because the usual failure is
+// a pooled connection the server already closed (idle timeout), which fails
+// before the server reads anything. A Call that must be delivered at most
+// once passes attempts = 1.
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
 
@@ -84,15 +92,6 @@ class RpcClient {
 
   uint64_t NextRequestId() { return next_request_id_.fetch_add(1) + 1; }
 
-  // Marks the peer gone: closes pooled fds and makes further Calls fail
-  // fast with a single dial attempt instead of the full backoff ladder.
-  void MarkDown();
-  void MarkUp();
-  bool down() const { return down_.load(std::memory_order_relaxed); }
-
-  // Invoked once per reconnect-and-retry (feeds the net.rpc_retries counter).
-  void set_on_retry(std::function<void()> cb) { on_retry_ = std::move(cb); }
-
   uint16_t port() const { return port_; }
 
  private:
@@ -106,8 +105,6 @@ class RpcClient {
   std::vector<Conn> conns_;
   std::atomic<uint64_t> next_slot_{0};
   std::atomic<uint64_t> next_request_id_{0};
-  std::atomic<bool> down_{false};
-  std::function<void()> on_retry_;
 };
 
 // Decodes a response frame into (header, body) and checks the echoed

@@ -1,7 +1,9 @@
-// Wire-protocol serialization tests: every message type round-trips through
-// its envelope, and hostile bytes — truncated frames, corrupted payloads, bad
-// magic, oversize lengths, short message bodies — surface as clean errors
-// (false / nullopt), never as crashes or garbage decoded into engine state.
+// Wire-protocol serialization tests: every job-server message type
+// round-trips through its envelope, and hostile bytes — truncated frames,
+// corrupted payloads, bad magic, oversize or lying lengths, short message
+// bodies, and a seeded mutation-fuzz loop over all of them — surface as clean
+// errors (false / nullopt), never as crashes, over-reads, or garbage decoded
+// into engine state.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +15,7 @@
 
 #include "gtest/gtest.h"
 #include "src/common/crc32.h"
+#include "src/common/rng.h"
 #include "src/net/frame.h"
 #include "src/net/message.h"
 #include "src/serialize/byte_buffer.h"
@@ -103,6 +106,22 @@ TEST(FrameTest, RejectsOversizeLength) {
   EXPECT_NE(error.find("bound"), std::string::npos) << error;
 }
 
+TEST(FrameTest, LyingLengthDoesNotAllocateTheClaim) {
+  // A peer that claims the maximum frame size and then hangs up after a few
+  // bytes must cost one read chunk, not a 1 GiB zero-filled buffer.
+  FdPair pair;
+  std::vector<uint8_t> bytes = RawFrame({1, 2, 3});
+  const uint32_t claim = kMaxFrameBytes;
+  std::memcpy(bytes.data() + 4, &claim, 4);
+  SendRaw(pair.fds[0], bytes);
+  pair.CloseWriter();
+  std::vector<uint8_t> got;
+  std::string error;
+  EXPECT_FALSE(ReadFrame(pair.fds[1], &got, &error));
+  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  EXPECT_LE(got.capacity(), size_t{kFrameReadChunk});
+}
+
 TEST(FrameTest, RejectsTruncatedPayload) {
   FdPair pair;
   std::vector<uint8_t> bytes = RawFrame({1, 2, 3, 4, 5, 6, 7, 8});
@@ -180,202 +199,143 @@ std::optional<Msg> DecodeEnvelope(const std::vector<uint8_t>& bytes, MsgType wan
   return Msg::Decode(src);
 }
 
-TEST(MessageTest, TaskLaunchRoundTrip) {
-  TaskLaunchMsg msg;
-  msg.job_id = 7;
-  msg.stage_id = 3;
-  msg.partition = 11;
-  msg.closure = "sum_u64";
-  msg.args = {1, 2, 3, 255};
-  const auto bytes = EncodeEnvelope(MsgType::kTaskLaunch, 42, msg);
-  const auto got = DecodeEnvelope<TaskLaunchMsg>(bytes, MsgType::kTaskLaunch, 42);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->job_id, 7);
-  EXPECT_EQ(got->stage_id, 3);
-  EXPECT_EQ(got->partition, 11u);
-  EXPECT_EQ(got->closure, "sum_u64");
-  EXPECT_EQ(got->args, msg.args);
+JobSubmitMsg SampleSubmit() {
+  JobSubmitMsg msg;
+  msg.tenant = "analytics";
+  msg.workload = "pagerank";
+  msg.iterations = 12;
+  return msg;
 }
 
-TEST(MessageTest, TaskResultRoundTrip) {
-  TaskResultMsg msg;
-  msg.ok = false;
-  msg.error = "no such closure";
-  msg.payload = {9, 8, 7};
-  const auto bytes = EncodeEnvelope(MsgType::kTaskResult, 1, msg);
-  const auto got = DecodeEnvelope<TaskResultMsg>(bytes, MsgType::kTaskResult, 1);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(got->ok);
-  EXPECT_EQ(got->error, "no such closure");
-  EXPECT_EQ(got->payload, msg.payload);
+JobSubmitRespMsg SampleSubmitResp() {
+  JobSubmitRespMsg msg;
+  msg.accepted = false;
+  msg.server_job_id = 1LL << 40;
+  msg.error = "unknown workload";
+  return msg;
 }
 
-TEST(MessageTest, BlockPutRoundTrip) {
-  BlockPutMsg msg;
-  msg.id = BlockId{12, 4};
-  msg.incarnation = 99;
-  msg.logical_bytes = 1 << 20;
-  msg.payload.assign(513, 0xAB);
-  const auto bytes = EncodeEnvelope(MsgType::kBlockPut, 5, msg);
-  const auto got = DecodeEnvelope<BlockPutMsg>(bytes, MsgType::kBlockPut, 5);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->id, msg.id);
-  EXPECT_EQ(got->incarnation, 99u);
-  EXPECT_EQ(got->logical_bytes, 1u << 20);
-  EXPECT_EQ(got->payload, msg.payload);
+JobStatusMsg SampleStatus() {
+  JobStatusMsg msg;
+  msg.server_job_id = 77;
+  return msg;
 }
 
-TEST(MessageTest, BlockGetRoundTrip) {
-  BlockGetMsg msg;
-  msg.id = BlockId{3, 9};
-  const auto bytes = EncodeEnvelope(MsgType::kBlockGet, 6, msg);
-  const auto got = DecodeEnvelope<BlockGetMsg>(bytes, MsgType::kBlockGet, 6);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->id, msg.id);
+JobStatusRespMsg SampleStatusResp() {
+  JobStatusRespMsg msg;
+  msg.known = true;
+  msg.state = "done";
+  msg.detail = "rank sum 4096.000";
+  msg.elapsed_ms = 43.25;
+  return msg;
 }
 
-TEST(MessageTest, BlockGetRespRoundTrip) {
-  BlockGetRespMsg msg;
-  msg.found = true;
-  msg.from_memory = false;
-  msg.payload = {0, 0, 1};
-  const auto bytes = EncodeEnvelope(MsgType::kBlockGetResp, 7, msg);
-  const auto got = DecodeEnvelope<BlockGetRespMsg>(bytes, MsgType::kBlockGetResp, 7);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->found);
-  EXPECT_FALSE(got->from_memory);
-  EXPECT_EQ(got->payload, msg.payload);
+TenantStatRow SampleRow(const std::string& name, uint64_t base) {
+  TenantStatRow row;
+  row.name = name;
+  row.share_bytes = base + 1;
+  row.used_bytes = base + 2;
+  row.borrowed_bytes = base + 3;
+  row.jobs_running = static_cast<int32_t>(base % 7) + 1;
+  row.jobs_queued = static_cast<int32_t>(base % 5) + 2;
+  row.jobs_completed = base + 4;
+  row.jobs_rejected = base + 5;
+  row.cache_hits = base + 6;
+  row.cache_misses = base + 7;
+  return row;
 }
 
-TEST(MessageTest, BlockRemoveRoundTrip) {
-  BlockRemoveMsg msg;
-  msg.id = BlockId{8, 2};
-  msg.incarnation = 17;
-  msg.include_memory = false;
-  msg.include_disk = true;
-  const auto bytes = EncodeEnvelope(MsgType::kBlockRemove, 8, msg);
-  const auto got = DecodeEnvelope<BlockRemoveMsg>(bytes, MsgType::kBlockRemove, 8);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->id, msg.id);
-  EXPECT_EQ(got->incarnation, 17u);
-  EXPECT_FALSE(got->include_memory);
-  EXPECT_TRUE(got->include_disk);
+TenantStatsRespMsg SampleStatsResp() {
+  TenantStatsRespMsg msg;
+  msg.tenants = {SampleRow("quiet", 100), SampleRow("churn", 1ULL << 33),
+                 SampleRow("", 0)};
+  return msg;
 }
 
-TEST(MessageTest, BucketPutRoundTrip) {
-  BucketPutMsg msg;
-  msg.shuffle_id = 5;
-  msg.map_part = 2;
-  msg.reduce_part = 6;
-  msg.incarnation = 31;
-  msg.payload = {4, 5, 6};
-  const auto bytes = EncodeEnvelope(MsgType::kBucketPut, 9, msg);
-  const auto got = DecodeEnvelope<BucketPutMsg>(bytes, MsgType::kBucketPut, 9);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->shuffle_id, 5);
-  EXPECT_EQ(got->map_part, 2u);
-  EXPECT_EQ(got->reduce_part, 6u);
-  EXPECT_EQ(got->incarnation, 31u);
-  EXPECT_EQ(got->payload, msg.payload);
+void ExpectRowEq(const TenantStatRow& got, const TenantStatRow& want) {
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.share_bytes, want.share_bytes);
+  EXPECT_EQ(got.used_bytes, want.used_bytes);
+  EXPECT_EQ(got.borrowed_bytes, want.borrowed_bytes);
+  EXPECT_EQ(got.jobs_running, want.jobs_running);
+  EXPECT_EQ(got.jobs_queued, want.jobs_queued);
+  EXPECT_EQ(got.jobs_completed, want.jobs_completed);
+  EXPECT_EQ(got.jobs_rejected, want.jobs_rejected);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cache_misses, want.cache_misses);
 }
 
-TEST(MessageTest, BucketFetchRoundTrip) {
-  BucketFetchMsg msg;
-  msg.shuffle_id = 4;
-  msg.map_part = 1;
-  msg.reduce_part = 3;
-  const auto bytes = EncodeEnvelope(MsgType::kBucketFetch, 10, msg);
-  const auto got = DecodeEnvelope<BucketFetchMsg>(bytes, MsgType::kBucketFetch, 10);
+TEST(MessageTest, JobSubmitRoundTrip) {
+  const JobSubmitMsg msg = SampleSubmit();
+  const auto bytes = EncodeEnvelope(MsgType::kJobSubmit, 42, msg);
+  const auto got = DecodeEnvelope<JobSubmitMsg>(bytes, MsgType::kJobSubmit, 42);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->shuffle_id, 4);
-  EXPECT_EQ(got->map_part, 1u);
-  EXPECT_EQ(got->reduce_part, 3u);
+  EXPECT_EQ(got->tenant, "analytics");
+  EXPECT_EQ(got->workload, "pagerank");
+  EXPECT_EQ(got->iterations, 12);
 }
 
-TEST(MessageTest, BucketFetchRespRoundTrip) {
-  BucketFetchRespMsg msg;
-  msg.found = true;
-  msg.payload = {42};
-  const auto bytes = EncodeEnvelope(MsgType::kBucketFetchResp, 11, msg);
-  const auto got = DecodeEnvelope<BucketFetchRespMsg>(bytes, MsgType::kBucketFetchResp, 11);
+TEST(MessageTest, JobSubmitRespRoundTrip) {
+  const JobSubmitRespMsg msg = SampleSubmitResp();
+  const auto bytes = EncodeEnvelope(MsgType::kJobSubmitResp, 1, msg);
+  const auto got = DecodeEnvelope<JobSubmitRespMsg>(bytes, MsgType::kJobSubmitResp, 1);
   ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->found);
-  EXPECT_EQ(got->payload, msg.payload);
+  EXPECT_FALSE(got->accepted);
+  EXPECT_EQ(got->server_job_id, 1LL << 40);
+  EXPECT_EQ(got->error, "unknown workload");
 }
 
-TEST(MessageTest, BucketRemoveRoundTrip) {
-  BucketRemoveMsg msg;
-  msg.shuffle_id = 2;
-  msg.map_part = 7;
-  msg.reduce_part = 0;
-  msg.incarnation = 55;
-  msg.all = true;
-  const auto bytes = EncodeEnvelope(MsgType::kBucketRemove, 12, msg);
-  const auto got = DecodeEnvelope<BucketRemoveMsg>(bytes, MsgType::kBucketRemove, 12);
+TEST(MessageTest, JobStatusRoundTrip) {
+  const auto bytes = EncodeEnvelope(MsgType::kJobStatus, 5, SampleStatus());
+  const auto got = DecodeEnvelope<JobStatusMsg>(bytes, MsgType::kJobStatus, 5);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->shuffle_id, 2);
-  EXPECT_EQ(got->map_part, 7u);
-  EXPECT_EQ(got->reduce_part, 0u);
-  EXPECT_EQ(got->incarnation, 55u);
-  EXPECT_TRUE(got->all);
+  EXPECT_EQ(got->server_job_id, 77);
 }
 
-TEST(MessageTest, HeartbeatRoundTrip) {
-  HeartbeatMsg msg;
-  msg.seq = 1234567;
-  const auto bytes = EncodeEnvelope(MsgType::kHeartbeat, 13, msg);
-  const auto got = DecodeEnvelope<HeartbeatMsg>(bytes, MsgType::kHeartbeat, 13);
+TEST(MessageTest, JobStatusRespRoundTrip) {
+  const auto bytes = EncodeEnvelope(MsgType::kJobStatusResp, 6, SampleStatusResp());
+  const auto got = DecodeEnvelope<JobStatusRespMsg>(bytes, MsgType::kJobStatusResp, 6);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->seq, 1234567u);
+  EXPECT_TRUE(got->known);
+  EXPECT_EQ(got->state, "done");
+  EXPECT_EQ(got->detail, "rank sum 4096.000");
+  EXPECT_DOUBLE_EQ(got->elapsed_ms, 43.25);
 }
 
-TEST(MessageTest, HeartbeatAckRoundTrip) {
-  HeartbeatAckMsg msg;
-  msg.seq = 88;
-  msg.stats.pid = 4242;
-  msg.stats.live_bytes = 1 << 16;
-  msg.stats.disk_bytes = 1 << 18;
-  msg.stats.block_count = 12;
-  msg.stats.bucket_count = 34;
-  msg.stats.bucket_bytes = 1 << 10;
-  msg.stats.pinned_blocks = 2;
-  msg.stats.inflight_tasks = 1;
-  msg.stats.tasks_executed = 900;
-  const auto bytes = EncodeEnvelope(MsgType::kHeartbeatAck, 14, msg);
-  const auto got = DecodeEnvelope<HeartbeatAckMsg>(bytes, MsgType::kHeartbeatAck, 14);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->seq, 88u);
-  EXPECT_EQ(got->stats.pid, 4242);
-  EXPECT_EQ(got->stats.live_bytes, 1u << 16);
-  EXPECT_EQ(got->stats.disk_bytes, 1u << 18);
-  EXPECT_EQ(got->stats.block_count, 12u);
-  EXPECT_EQ(got->stats.bucket_count, 34u);
-  EXPECT_EQ(got->stats.bucket_bytes, 1u << 10);
-  EXPECT_EQ(got->stats.pinned_blocks, 2u);
-  EXPECT_EQ(got->stats.inflight_tasks, 1u);
-  EXPECT_EQ(got->stats.tasks_executed, 900u);
+TEST(MessageTest, TenantStatsRoundTrip) {
+  const auto bytes = EncodeEnvelope(MsgType::kTenantStats, 7, TenantStatsMsg{});
+  EXPECT_TRUE(DecodeEnvelope<TenantStatsMsg>(bytes, MsgType::kTenantStats, 7).has_value());
 }
 
-TEST(MessageTest, AckRoundTrip) {
-  AckMsg msg;
-  msg.ok = false;
-  msg.error = "incarnation mismatch";
-  const auto bytes = EncodeEnvelope(MsgType::kAck, 15, msg);
-  const auto got = DecodeEnvelope<AckMsg>(bytes, MsgType::kAck, 15);
+TEST(MessageTest, TenantStatsRespMultiRowRoundTrip) {
+  const TenantStatsRespMsg msg = SampleStatsResp();
+  const auto bytes = EncodeEnvelope(MsgType::kTenantStatsResp, 8, msg);
+  const auto got = DecodeEnvelope<TenantStatsRespMsg>(bytes, MsgType::kTenantStatsResp, 8);
   ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(got->ok);
-  EXPECT_EQ(got->error, "incarnation mismatch");
+  ASSERT_EQ(got->tenants.size(), msg.tenants.size());
+  for (size_t i = 0; i < msg.tenants.size(); ++i) {
+    ExpectRowEq(got->tenants[i], msg.tenants[i]);
+  }
+}
+
+TEST(MessageTest, TenantStatsRespEmptyRoundTrip) {
+  const auto bytes = EncodeEnvelope(MsgType::kTenantStatsResp, 9, TenantStatsRespMsg{});
+  const auto got = DecodeEnvelope<TenantStatsRespMsg>(bytes, MsgType::kTenantStatsResp, 9);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->tenants.empty());
 }
 
 // --- malformed bodies -------------------------------------------------------
 
 // Every strict prefix of a valid encoding must decode to nullopt — not crash,
-// not read out of bounds. This sweeps all message types at every cut point.
+// not read out of bounds. Each cut is copied into its own exactly-sized
+// buffer so an over-read is a heap overflow under ASan.
 template <typename Msg>
 void ExpectTruncationsFailCleanly(const Msg& msg, MsgType type) {
   const auto bytes = EncodeEnvelope(type, 77, msg);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    ByteSource src(bytes.data(), cut);
+    const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + cut);
+    ByteSource src(prefix);
     const auto header = MessageHeader::Decode(src);
     if (!header.has_value()) {
       continue;  // cut fell inside the header — already a clean failure
@@ -387,87 +347,58 @@ void ExpectTruncationsFailCleanly(const Msg& msg, MsgType type) {
 }
 
 TEST(MessageTest, TruncatedBodiesFailCleanly) {
-  TaskLaunchMsg launch;
-  launch.job_id = 1;
-  launch.closure = "ping";
-  launch.args = {1, 2, 3, 4, 5, 6, 7, 8};
-  ExpectTruncationsFailCleanly(launch, MsgType::kTaskLaunch);
-
-  TaskResultMsg result;
-  result.ok = true;
-  result.error = "e";
-  result.payload = {1, 2, 3};
-  ExpectTruncationsFailCleanly(result, MsgType::kTaskResult);
-
-  BlockPutMsg put;
-  put.id = BlockId{1, 2};
-  put.incarnation = 3;
-  put.logical_bytes = 4;
-  put.payload = {5, 6, 7};
-  ExpectTruncationsFailCleanly(put, MsgType::kBlockPut);
-
-  BlockGetMsg get;
-  get.id = BlockId{1, 2};
-  ExpectTruncationsFailCleanly(get, MsgType::kBlockGet);
-
-  BlockGetRespMsg get_resp;
-  get_resp.found = true;
-  get_resp.payload = {1};
-  ExpectTruncationsFailCleanly(get_resp, MsgType::kBlockGetResp);
-
-  BlockRemoveMsg remove;
-  remove.id = BlockId{1, 2};
-  remove.incarnation = 3;
-  ExpectTruncationsFailCleanly(remove, MsgType::kBlockRemove);
-
-  BucketPutMsg bput;
-  bput.shuffle_id = 1;
-  bput.payload = {1, 2};
-  ExpectTruncationsFailCleanly(bput, MsgType::kBucketPut);
-
-  BucketFetchMsg bfetch;
-  bfetch.shuffle_id = 1;
-  ExpectTruncationsFailCleanly(bfetch, MsgType::kBucketFetch);
-
-  BucketFetchRespMsg bresp;
-  bresp.found = true;
-  bresp.payload = {1};
-  ExpectTruncationsFailCleanly(bresp, MsgType::kBucketFetchResp);
-
-  BucketRemoveMsg bremove;
-  bremove.shuffle_id = 1;
-  ExpectTruncationsFailCleanly(bremove, MsgType::kBucketRemove);
-
-  HeartbeatMsg hb;
-  hb.seq = 123456789;  // multi-byte varint
-  ExpectTruncationsFailCleanly(hb, MsgType::kHeartbeat);
-
-  HeartbeatAckMsg ack;
-  ack.seq = 123456789;
-  ack.stats.tasks_executed = 1;
-  ExpectTruncationsFailCleanly(ack, MsgType::kHeartbeatAck);
-
-  AckMsg plain;
-  plain.ok = false;
-  plain.error = "boom";
-  ExpectTruncationsFailCleanly(plain, MsgType::kAck);
+  ExpectTruncationsFailCleanly(SampleSubmit(), MsgType::kJobSubmit);
+  ExpectTruncationsFailCleanly(SampleSubmitResp(), MsgType::kJobSubmitResp);
+  ExpectTruncationsFailCleanly(SampleStatus(), MsgType::kJobStatus);
+  ExpectTruncationsFailCleanly(SampleStatusResp(), MsgType::kJobStatusResp);
+  // Empty body: every strict prefix cuts the header itself.
+  ExpectTruncationsFailCleanly(TenantStatsMsg{}, MsgType::kTenantStats);
+  ExpectTruncationsFailCleanly(SampleStatsResp(), MsgType::kTenantStatsResp);
 }
 
 TEST(MessageTest, LyingLengthPrefixFailsCleanly) {
-  // A payload length prefix claiming more bytes than the body carries must
+  // A string length prefix claiming more bytes than the body carries must
   // not over-read. Craft: header + varint(1000) + 3 actual bytes.
-  ByteSink sink;
-  MessageHeader{MsgType::kTaskResult, 1}.EncodeTo(sink);
-  sink.WritePod<uint8_t>(1);  // ok = true
-  WriteString(sink, "");      // empty error
-  sink.WriteVarint(1000);     // payload length lie
-  sink.WritePod<uint8_t>(1);
-  sink.WritePod<uint8_t>(2);
-  sink.WritePod<uint8_t>(3);
-  const auto bytes = sink.TakeData();
-  ByteSource src(bytes);
-  ASSERT_TRUE(MessageHeader::Decode(src).has_value());
-  EXPECT_FALSE(TaskResultMsg::Decode(src).has_value());
+  {
+    ByteSink sink;
+    MessageHeader{MsgType::kJobSubmit, 1}.EncodeTo(sink);
+    sink.WriteVarint(1000);  // tenant length lie
+    sink.WritePod<uint8_t>('a');
+    sink.WritePod<uint8_t>('b');
+    sink.WritePod<uint8_t>('c');
+    const auto bytes = sink.TakeData();
+    ByteSource src(bytes);
+    ASSERT_TRUE(MessageHeader::Decode(src).has_value());
+    EXPECT_FALSE(JobSubmitMsg::Decode(src).has_value());
+  }
+  // The same lie in the second string of a status response.
+  {
+    ByteSink sink;
+    MessageHeader{MsgType::kJobStatusResp, 2}.EncodeTo(sink);
+    sink.WritePod<uint8_t>(1);  // known
+    WriteString(sink, "done");
+    sink.WriteVarint(1ULL << 40);  // detail length lie
+    sink.WritePod<double>(1.0);
+    const auto bytes = sink.TakeData();
+    ByteSource src(bytes);
+    ASSERT_TRUE(MessageHeader::Decode(src).has_value());
+    EXPECT_FALSE(JobStatusRespMsg::Decode(src).has_value());
+  }
+  // A row count far beyond the rows the body carries.
+  for (const uint64_t claim : {uint64_t{2}, uint64_t{4096}, uint64_t{1} << 50}) {
+    ByteSink sink;
+    MessageHeader{MsgType::kTenantStatsResp, 3}.EncodeTo(sink);
+    sink.WriteVarint(claim);
+    const TenantStatsRespMsg one{{SampleRow("only", 9)}};
+    ByteSink rows;
+    one.EncodeTo(rows);
+    const auto row_bytes = rows.TakeData();
+    sink.WriteRaw(row_bytes.data() + 1, row_bytes.size() - 1);  // skip count 1
+    const auto bytes = sink.TakeData();
+    ByteSource src(bytes);
+    ASSERT_TRUE(MessageHeader::Decode(src).has_value());
+    EXPECT_FALSE(TenantStatsRespMsg::Decode(src).has_value()) << "claim " << claim;
+  }
 }
 
 TEST(MessageTest, EmptySourceHeaderFailsCleanly) {
@@ -476,10 +407,173 @@ TEST(MessageTest, EmptySourceHeaderFailsCleanly) {
   EXPECT_FALSE(MessageHeader::Decode(src).has_value());
 }
 
-TEST(MessageTest, MsgTypeNamesCoverProtocol) {
-  for (uint8_t raw = 1; raw <= 14; ++raw) {
-    EXPECT_STRNE(MsgTypeName(static_cast<MsgType>(raw)), "");
+TEST(MessageTest, HeaderRejectsUnassignedTypes) {
+  for (int raw = 0; raw <= 255; ++raw) {
+    ByteSink sink;
+    sink.WritePod<uint8_t>(static_cast<uint8_t>(raw));
+    sink.WritePod<uint64_t>(1);
+    const auto bytes = sink.TakeData();
+    ByteSource src(bytes);
+    const bool assigned = raw >= static_cast<int>(kFirstMsgType) &&
+                          raw <= static_cast<int>(kLastMsgType);
+    EXPECT_EQ(MessageHeader::Decode(src).has_value(), assigned) << "type " << raw;
   }
+}
+
+TEST(MessageTest, MsgTypeNamesCoverProtocol) {
+  for (int raw = static_cast<int>(kFirstMsgType); raw <= static_cast<int>(kLastMsgType);
+       ++raw) {
+    const char* name = MsgTypeName(static_cast<MsgType>(raw));
+    EXPECT_STRNE(name, "");
+    EXPECT_STRNE(name, "unknown") << "type " << raw;
+  }
+}
+
+// --- adversarial-bytes loop -------------------------------------------------
+
+// Runs every surviving decoder over `body`. Each must return a value or
+// nullopt; a decoder that succeeds must also re-encode to bytes that decode
+// to the same encoding again (no state the encoder cannot represent).
+template <typename Msg>
+void DecodeAny(const std::vector<uint8_t>& body) {
+  ByteSource src(body);
+  const auto got = Msg::Decode(src);
+  if (!got.has_value()) {
+    return;
+  }
+  ByteSink first;
+  got->EncodeTo(first);
+  const auto first_bytes = first.TakeData();
+  ByteSource again(first_bytes);
+  const auto reparsed = Msg::Decode(again);
+  ASSERT_TRUE(reparsed.has_value());
+  EXPECT_EQ(again.remaining(), 0u);
+  ByteSink second;
+  reparsed->EncodeTo(second);
+  EXPECT_EQ(second.TakeData(), first_bytes);
+}
+
+void DecodeEverything(const std::vector<uint8_t>& envelope) {
+  ByteSource src(envelope);
+  if (MessageHeader::Decode(src).has_value()) {
+    // The body is copied into an exactly-sized buffer: an over-read past the
+    // end is a heap overflow under ASan rather than a silent read.
+    const std::vector<uint8_t> body(envelope.end() - static_cast<ptrdiff_t>(src.remaining()),
+                                    envelope.end());
+    DecodeAny<JobSubmitMsg>(body);
+    DecodeAny<JobSubmitRespMsg>(body);
+    DecodeAny<JobStatusMsg>(body);
+    DecodeAny<JobStatusRespMsg>(body);
+    DecodeAny<TenantStatsMsg>(body);
+    DecodeAny<TenantStatsRespMsg>(body);
+  }
+}
+
+// Overwrites bytes at `pos` with a varint encoding of a large or off-by-few
+// value: the shape of a lying length or count prefix.
+void PlantLyingVarint(Rng& rng, std::vector<uint8_t>& bytes, size_t pos) {
+  uint64_t value = 0;
+  switch (rng.NextU64(3)) {
+    case 0: value = rng.NextU64(64) + 1; break;              // slightly long
+    case 1: value = rng.NextU64(uint64_t{1} << 32); break;   // huge
+    default: value = ~uint64_t{0} - rng.NextU64(16); break;  // near 2^64
+  }
+  ByteSink sink;
+  sink.WriteVarint(value);
+  const auto varint = sink.TakeData();
+  for (size_t i = 0; i < varint.size() && pos + i < bytes.size(); ++i) {
+    bytes[pos + i] = varint[i];
+  }
+}
+
+// One to four random mutations: byte flips, truncation, lying varints.
+std::vector<uint8_t> Mutate(Rng& rng, std::vector<uint8_t> bytes) {
+  const uint64_t rounds = rng.NextU64(4) + 1;
+  for (uint64_t r = 0; r < rounds && !bytes.empty(); ++r) {
+    const size_t pos = static_cast<size_t>(rng.NextU64(bytes.size()));
+    switch (rng.NextU64(3)) {
+      case 0:
+        bytes[pos] ^= static_cast<uint8_t>(rng.NextU64(255) + 1);
+        break;
+      case 1:
+        bytes.resize(pos);
+        break;
+      default:
+        PlantLyingVarint(rng, bytes, pos);
+        break;
+    }
+  }
+  return bytes;
+}
+
+// Frame-level vandalism on top of the body mutations: flips anywhere in the
+// frame (magic, length, payload, CRC), truncation, and length-field lies.
+std::vector<uint8_t> MutateFrame(Rng& rng, std::vector<uint8_t> frame) {
+  switch (rng.NextU64(4)) {
+    case 0:
+      frame[rng.NextU64(frame.size())] ^= static_cast<uint8_t>(rng.NextU64(255) + 1);
+      break;
+    case 1:
+      frame.resize(rng.NextU64(frame.size()));
+      break;
+    case 2: {
+      uint32_t len = 0;
+      std::memcpy(&len, frame.data() + 4, 4);
+      switch (rng.NextU64(3)) {
+        case 0: len += static_cast<uint32_t>(rng.NextU64(16)) + 1; break;
+        case 1: len = len == 0 ? 0 : len - 1; break;
+        default: len = static_cast<uint32_t>(rng.NextU64(uint64_t{kMaxFrameBytes} + 2));
+      }
+      std::memcpy(frame.data() + 4, &len, 4);
+      break;
+    }
+    default:
+      break;  // intact frame: the body mutation alone must be survived
+  }
+  return frame;
+}
+
+TEST(WireFuzzTest, MutatedBytesDecodeOrFailCleanly) {
+  const std::vector<std::vector<uint8_t>> corpus = {
+      EncodeEnvelope(MsgType::kJobSubmit, 1, SampleSubmit()),
+      EncodeEnvelope(MsgType::kJobSubmitResp, 2, SampleSubmitResp()),
+      EncodeEnvelope(MsgType::kJobStatus, 3, SampleStatus()),
+      EncodeEnvelope(MsgType::kJobStatusResp, 4, SampleStatusResp()),
+      EncodeEnvelope(MsgType::kTenantStats, 5, TenantStatsMsg{}),
+      EncodeEnvelope(MsgType::kTenantStatsResp, 6, SampleStatsResp()),
+  };
+  Rng rng(0xB1A2E5EEDULL);
+  constexpr int kIterations = 4000;
+  int frames_accepted = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::vector<uint8_t>& seed = corpus[rng.NextU64(corpus.size())];
+    const std::vector<uint8_t> envelope = Mutate(rng, seed);
+    DecodeEverything(envelope);
+
+    // The same bytes through the framing layer: whatever ReadFrame accepts
+    // must be exactly what was framed, and then goes through the decoders.
+    const std::vector<uint8_t> frame = MutateFrame(rng, RawFrame(envelope));
+    FdPair pair;
+    if (!frame.empty()) {
+      SendRaw(pair.fds[0], frame);
+    }
+    pair.CloseWriter();
+    std::vector<uint8_t> payload;
+    std::string error;
+    if (ReadFrame(pair.fds[1], &payload, &error)) {
+      ++frames_accepted;
+      EXPECT_EQ(payload, envelope) << "iteration " << i;
+      DecodeEverything(payload);
+    } else {
+      EXPECT_FALSE(error.empty()) << "iteration " << i;
+    }
+    if (HasFatalFailure() || HasNonfatalFailure()) {
+      FAIL() << "first failure at iteration " << i;
+    }
+  }
+  // The loop must exercise both outcomes, or it is not testing anything.
+  EXPECT_GT(frames_accepted, 0);
+  EXPECT_LT(frames_accepted, kIterations);
 }
 
 }  // namespace

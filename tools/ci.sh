@@ -2,8 +2,9 @@
 # CI driver: builds and runs the test suite in the plain config, then again
 # with ThreadSanitizer (BLAZE_SANITIZE=thread) in a separate build tree so
 # data races on the concurrent hot paths fail the pipeline, and once more
-# with AddressSanitizer (BLAZE_SANITIZE=address) over the storage/columnar
-# subset so arena lifetime bugs (use-after-release, chunk overruns) fail too.
+# with AddressSanitizer (BLAZE_SANITIZE=address) over the storage/columnar/
+# wire subset so arena lifetime bugs (use-after-release, chunk overruns) and
+# wire-decoder over-reads fail too.
 #
 # Usage: tools/ci.sh [plain|tsan|asan|all]   (default: all)
 set -euo pipefail
@@ -167,23 +168,14 @@ tenant_smoke() {
   "./$build_dir/tools/tenant_smoke"
 }
 
-dist_smoke() {
-  # Distributed-mode smoke: coordinator + 2 worker processes over the real
-  # wire protocol must produce results byte-identical to in-process mode,
-  # and a SIGKILLed worker must be detected, respawned, and recovered from
-  # through lineage. See tools/dist_smoke.cc for the phase breakdown.
-  echo "=== [plain] distributed smoke ==="
-  ./build/tools/dist_smoke
-}
-
 perf_smoke() {
   # Wall-clock guard for the fig09 hot path: best-of-3 at scale 0.25 on the
-  # PageRank workload must stay within 10% of the recorded seed numbers
-  # (spark-memdisk 530 ms, blaze 421 ms, pre-fusion seed on the CI machine).
-  # Catches gross regressions on the task/cache hot path while staying far
-  # from flaky territory: current post-fusion numbers are ~15% under seed.
+  # PageRank workload must stay within 25% of the recorded trajectory.
+  # Baselines are the slowest of four best-of-3 measurements of the
+  # default (RelWithDebInfo) build on a 4-vCPU shared host: spark-memdisk
+  # 268-277 ms, blaze 144-156 ms. Limits: 346 / 195 ms.
   echo "=== [plain] fig09 perf smoke ==="
-  local baseline_spark_ms=530 baseline_blaze_ms=421 tolerance_pct=10
+  local baseline_spark_ms=277 baseline_blaze_ms=156 tolerance_pct=25
   local best_spark=999999 best_blaze=999999
   for _ in 1 2 3; do
     local row
@@ -201,7 +193,7 @@ perf_smoke() {
   echo "fig09 pr best-of-3: spark-memdisk ${best_spark}ms (limit ${limit_spark}ms)," \
        "blaze ${best_blaze}ms (limit ${limit_blaze}ms)"
   if (( best_spark > limit_spark || best_blaze > limit_blaze )); then
-    echo "perf smoke FAILED: fig09 wall-clock regressed >${tolerance_pct}% vs seed" >&2
+    echo "perf smoke FAILED: fig09 wall-clock regressed >${tolerance_pct}% vs baseline" >&2
     exit 1
   fi
 }
@@ -216,7 +208,6 @@ if [[ "$mode" == "plain" || "$mode" == "all" ]]; then
   micro_trace_smoke
   traffic_slo_smoke
   tenant_smoke build
-  dist_smoke
   perf_smoke
 fi
 
@@ -239,16 +230,18 @@ fi
 if [[ "$mode" == "asan" || "$mode" == "all" ]]; then
   # ASan leg over the storage/serialization/columnar subset: arena payloads
   # are freed without destructors and handed out as raw spans, so
-  # use-after-release and chunk overruns are the failure modes to hunt. The
-  # spill-pressure smoke then drives arena-backed blocks through eviction,
-  # the async spill queue, and disk round trips end to end.
+  # use-after-release and chunk overruns are the failure modes to hunt.
+  # net_frame adds the wire decoders and their mutation-fuzz loop, where an
+  # over-read of a hostile buffer is the failure to hunt. The spill-pressure
+  # smoke then drives arena-backed blocks through eviction, the async spill
+  # queue, and disk round trips end to end.
   echo "=== [asan] configure+build ==="
   cmake -B build-asan -S . -DBLAZE_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$jobs"
-  echo "=== [asan] ctest (storage/columnar subset) ==="
+  echo "=== [asan] ctest (storage/columnar/wire subset) ==="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized'
+      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized|net_frame'
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" spill_smoke build-asan
 fi
 

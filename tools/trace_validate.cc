@@ -10,9 +10,9 @@
 // Multiple trace files may be given; every file is validated and the
 // --require-* checks apply to their union. --merge OUT.json additionally
 // stitches all inputs into one Chrome trace — events keep their per-process
-// "pid" tag (distributed runs export one trace per process, each tagged with
-// its real pid), so the merged timeline shows coordinator and workers as
-// separate process lanes.
+// "pid" tag (each process exports its own trace tagged with its real pid,
+// e.g. blaze_serve and a client), so the merged timeline shows one process
+// lane per input.
 //
 // --summary additionally prints, after validation, a per-(category, span)
 // duration table — count, mean, p50/p95/p99, max — plus a rollup line per
